@@ -44,6 +44,9 @@ var RecoveryPkgs = map[string]bool{
 	// journal is the PDME's write-ahead log: a dropped error between append
 	// and ack breaks the durability guarantee outright.
 	"journal": true,
+	// recordlog is the one framing, recovery and file-replacement layer
+	// under every durable store above.
+	"recordlog": true,
 	// serving reads the historian on the trend path and hands errors to HTTP
 	// clients; a discarded error there silently serves an empty trend.
 	"serving": true,

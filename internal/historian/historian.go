@@ -14,10 +14,10 @@
 //     timestamps are accepted — §5.1 requires tolerating time-disordered
 //     inputs). When the head fills it is sorted and sealed into an
 //     immutable segment.
-//   - Sealed segments are persisted as CRC-framed blocks in one
-//     append-only segment file per channel. Recovery mirrors relstore's
-//     WAL semantics: a torn final block (power loss mid-append) is
-//     truncated away; interior corruption is refused.
+//   - Sealed segments are persisted as recordlog frames in one
+//     append-only segment file per channel. Recovery is recordlog's: a
+//     torn final block (power loss mid-append) is truncated away; interior
+//     corruption is refused.
 //   - Per-channel retention drops whole expired segments and compacts the
 //     segment file.
 //   - Multi-resolution rollup tiers (min/max/mean/count per bucket) are
@@ -37,6 +37,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/recordlog"
 )
 
 // Sample is one observation on a channel.
@@ -71,8 +73,8 @@ func (c ChannelConfig) validate() error {
 	if c.Retention < 0 {
 		return fmt.Errorf("historian: channel %q: negative retention", c.Name)
 	}
-	if c.HeadCap < 0 {
-		return fmt.Errorf("historian: channel %q: negative head capacity", c.Name)
+	if c.HeadCap < 0 || c.HeadCap > maxHeadCap {
+		return fmt.Errorf("historian: channel %q: head capacity %d outside [0, %d]", c.Name, c.HeadCap, maxHeadCap)
 	}
 	seen := make(map[time.Duration]bool, len(c.Tiers))
 	for _, d := range c.Tiers {
@@ -116,9 +118,8 @@ type channel struct {
 	head     []Sample   // arrival-order buffer, sealed when full
 	segments []*segment // immutable, each sorted by time
 	tiers    []*tier
-	file     *os.File // nil for in-memory stores
-	path     string
-	total    int64 // samples currently held (head + segments)
+	log      *recordlog.Log // nil for in-memory stores
+	total    int64          // samples currently held (head + segments)
 	latest   Sample
 	hasData  bool
 }
@@ -143,28 +144,20 @@ func Open(opts Options) (*Store, error) {
 			continue
 		}
 		path := filepath.Join(opts.Dir, e.Name())
-		name, segments, err := recoverSegmentFile(path)
+		info, err := e.Info()
+		if err != nil {
+			return nil, fmt.Errorf("historian: %w", err)
+		}
+		if info.Size() == 0 {
+			// An empty file names no channel; opening it would write a
+			// nameless header.
+			return nil, fmt.Errorf("historian: %s: truncated header", path)
+		}
+		name, segments, log, err := openSegmentFile(path, "")
 		if err != nil {
 			return nil, err
 		}
-		ch := &channel{
-			cfg:      ChannelConfig{Name: name},
-			segments: segments,
-			path:     path,
-		}
-		for _, seg := range segments {
-			ch.total += int64(len(seg.samples))
-			if last := seg.samples[len(seg.samples)-1]; !ch.hasData || last.At.After(ch.latest.At) {
-				ch.latest = last
-				ch.hasData = true
-			}
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("historian: reopen segment file: %w", err)
-		}
-		ch.file = f
-		s.channels[name] = ch
+		s.channels[name] = newChannel(ChannelConfig{Name: name}, segments, log)
 	}
 	return s, nil
 }
@@ -188,17 +181,17 @@ func (s *Store) EnsureChannel(cfg ChannelConfig) error {
 	}
 	ch, ok := s.channels[cfg.Name]
 	if !ok {
-		ch = &channel{cfg: cfg}
+		var segments []*segment
+		var log *recordlog.Log
 		if s.dir != "" {
-			path := filepath.Join(s.dir, encodeChannelFile(cfg.Name))
-			f, err := createSegmentFile(path, cfg.Name)
+			var err error
+			_, segments, log, err = openSegmentFile(filepath.Join(s.dir, encodeChannelFile(cfg.Name)), cfg.Name)
 			if err != nil {
 				s.mu.Unlock()
 				return err
 			}
-			ch.file = f
-			ch.path = path
 		}
+		ch = newChannel(cfg, segments, log)
 		s.channels[cfg.Name] = ch
 	}
 	s.mu.Unlock()
@@ -228,6 +221,19 @@ func (s *Store) EnsureChannel(cfg ChannelConfig) error {
 		ch.cfg.Tiers = append(ch.cfg.Tiers, d)
 	}
 	return nil
+}
+
+// newChannel builds a channel over recovered segments.
+func newChannel(cfg ChannelConfig, segments []*segment, log *recordlog.Log) *channel {
+	ch := &channel{cfg: cfg, segments: segments, log: log}
+	for _, seg := range segments {
+		ch.total += int64(len(seg.samples))
+		if last := seg.samples[len(seg.samples)-1]; !ch.hasData || last.At.After(ch.latest.At) {
+			ch.latest = last
+			ch.hasData = true
+		}
+	}
+	return ch
 }
 
 func (ch *channel) tierFor(d time.Duration) *tier {
@@ -310,8 +316,8 @@ func (ch *channel) sealLocked() error {
 	copy(samples, ch.head)
 	sort.SliceStable(samples, func(i, j int) bool { return samples[i].At.Before(samples[j].At) })
 	seg := newSegment(samples)
-	if ch.file != nil {
-		if err := appendBlock(ch.file, samples); err != nil {
+	if ch.log != nil {
+		if err := ch.log.Append(kindBlock, 0, encodeBlock(samples)); err != nil {
 			return fmt.Errorf("historian: channel %q: %w", ch.cfg.Name, err)
 		}
 	}
@@ -344,47 +350,21 @@ func (ch *channel) applyRetentionLocked() error {
 	for _, t := range ch.tiers {
 		t.trim(cutoff)
 	}
-	if ch.file != nil {
-		if err := ch.rewriteFileLocked(); err != nil {
-			return err
+	if ch.log == nil {
+		return nil
+	}
+	// Compact the segment file down to the kept segments.
+	err := ch.log.Rewrite(func(emit func(kind byte, seq uint64, body []byte) error) error {
+		for _, seg := range ch.segments {
+			if err := emit(kindBlock, 0, encodeBlock(seg.samples)); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
-}
-
-// rewriteFileLocked rewrites the channel's segment file from the in-memory
-// segments (the compaction step after retention drops), swapping it in
-// atomically like relstore.Compact. Caller holds ch.mu.
-func (ch *channel) rewriteFileLocked() error {
-	tmp := ch.path + ".compact"
-	f, err := createSegmentFile(tmp, ch.cfg.Name)
+		return nil
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("historian: channel %q: compact: %w", ch.cfg.Name, err)
 	}
-	for _, seg := range ch.segments {
-		if err := appendBlock(f, seg.samples); err != nil {
-			_ = f.Close()
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := ch.file.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, ch.path); err != nil {
-		return fmt.Errorf("historian: swap compacted segment file: %w", err)
-	}
-	nf, err := os.OpenFile(ch.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("historian: reopen segment file after compact: %w", err)
-	}
-	ch.file = nf
 	return nil
 }
 
@@ -410,8 +390,8 @@ func (s *Store) Sync() error {
 		}
 		ch.mu.Lock()
 		err = ch.sealLocked()
-		if err == nil && ch.file != nil {
-			err = ch.file.Sync()
+		if err == nil && ch.log != nil {
+			err = ch.log.Sync()
 		}
 		ch.mu.Unlock()
 		if err != nil {
@@ -441,12 +421,12 @@ func (s *Store) Close() error {
 	s.closed = true
 	for _, ch := range s.channels {
 		ch.mu.Lock()
-		if ch.file != nil {
-			if err := ch.file.Close(); err != nil {
+		if ch.log != nil {
+			if err := ch.log.Close(); err != nil {
 				ch.mu.Unlock()
-				return err
+				return fmt.Errorf("historian: %w", err)
 			}
-			ch.file = nil
+			ch.log = nil
 		}
 		ch.mu.Unlock()
 	}

@@ -1,11 +1,14 @@
 package historian
 
 import (
-	"encoding/binary"
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/recordlog"
 )
 
 func fillChannel(t *testing.T, dir string, n int) string {
@@ -90,12 +93,7 @@ func TestTornTailTruncated(t *testing.T) {
 		// Simulate a torn append: a prefix of a fourth block.
 		torn := make([]byte, 0, len(data)+cut)
 		torn = append(torn, data...)
-		block := make([]byte, 0, blockFrame+32*recordSize)
-		block = binary.LittleEndian.AppendUint32(block, blockMagic)
-		block = binary.LittleEndian.AppendUint32(block, 32)
-		for len(block) < blockFrame+32*recordSize {
-			block = append(block, 0xAB)
-		}
+		block := recordlog.AppendFrame(nil, blockMagic, kindBlock, 0, bytes.Repeat([]byte{0xAB}, 32*recordSize))
 		if cut > len(block) {
 			t.Fatalf("cut %d exceeds block", cut)
 		}
@@ -137,7 +135,7 @@ func TestInteriorCorruptionRefused(t *testing.T) {
 	}
 	// Flip a payload byte in the first block (well past the header).
 	hdr := len(fileMagic) + 2 + len("vib/motor/rms")
-	data[hdr+blockFrame] ^= 0xFF
+	data[hdr+recordlog.Overhead] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -213,5 +211,42 @@ func TestChannelFileNameEncoding(t *testing.T) {
 		if !s2.HasChannel(n) {
 			t.Fatalf("channel %q lost in round trip; have %v", n, s2.Channels())
 		}
+	}
+}
+
+// TestOldFormatRefused: a segment file in the MPROSHS1 block format of
+// earlier versions is refused with an error naming that format, never
+// misread.
+func TestOldFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	old := []byte("MPROSHS1\x01\x00a")
+	old = append(old, 0x0C, 0xB1, 0xA1, 0x5E, 1, 0, 0, 0) // block magic, count 1
+	old = append(old, make([]byte, recordSize+4)...)
+	if err := os.WriteFile(filepath.Join(dir, "a"+segmentExt), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(Options{Dir: dir})
+	if err == nil || !strings.Contains(err.Error(), "MPROSHS1") {
+		t.Fatalf("old-format segment file: err = %v, want a version error", err)
+	}
+}
+
+// TestStaleTempRemoved: a crash mid-compaction leaves the temp file beside
+// the segment file; it must not shadow the segments and is gone after
+// Open.
+func TestStaleTempRemoved(t *testing.T) {
+	dir := t.TempDir()
+	path := fillChannel(t, dir, 64)
+	if err := os.WriteFile(path+".tmp", []byte("garbage from a dying process"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir)
+	defer s.Close()
+	got, err := s.QueryAll("vib/motor/rms")
+	if err != nil || len(got) != 64 {
+		t.Fatalf("recovered %d samples with a stale temp (err %v), want 64", len(got), err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("stale temp survived Open: %v", err)
 	}
 }

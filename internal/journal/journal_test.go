@@ -2,11 +2,14 @@ package journal
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/recordlog"
 )
 
 func mustOpen(t *testing.T, dir string) (*Journal, *Recovery) {
@@ -292,7 +295,34 @@ func TestOversizeBodyRefused(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir)
 	defer func() { _ = j.Close() }()
-	if _, err := j.Append(1, make([]byte, maxBodySize+1)); err == nil {
+	if _, err := j.Append(1, make([]byte, recordlog.MaxBody+1)); err == nil {
 		t.Fatalf("oversize body accepted")
+	}
+}
+
+// TestWALBytesUnchanged pins the on-disk record format: a WAL record is
+// framed exactly as journals written before the recordlog extraction
+// framed it (golden bytes for kind 2, jseq 7, body "hello"), and a WAL file
+// is the header followed by those frames.
+func TestWALBytesUnchanged(t *testing.T) {
+	golden, _ := hex.DecodeString("314e524a0207000000000000000500000068656c6c6f51ccf8f8")
+	if got := recordlog.AppendFrame(nil, recMagic, 2, 7, []byte("hello")); !bytes.Equal(got, golden) {
+		t.Fatalf("frame = %x, want %x", got, golden)
+	}
+	dir := t.TempDir()
+	j, _ := mustOpen(t, dir)
+	if _, err := j.Append(2, []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := recordlog.AppendFrame([]byte(walMagic), recMagic, 2, 1, []byte("hello"))
+	if !bytes.Equal(data, want) {
+		t.Fatalf("wal = %x, want %x", data, want)
 	}
 }

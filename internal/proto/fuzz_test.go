@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"testing"
+	"time"
 )
 
 // frameBytes encodes one envelope to its wire form for use as a fuzz seed.
@@ -25,6 +26,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(f, envelope{Kind: "report", Report: validReport(), DCID: "dc-1", Boot: 7, Seq: 3}))
 	f.Add(frameBytes(f, envelope{Kind: "ack", DCID: "dc-1", Seq: 3, Dup: true}))
 	f.Add(frameBytes(f, envelope{Kind: "error", Error: "validate: severity out of range"}))
+	f.Add(frameBytes(f, envelope{Kind: "summary", DCID: "shard-1", Boot: 2, Seq: 9, Summary: &FusedSummary{
+		ShardID: "shard-1", Component: "chiller/1", Condition: "refrigerant low charge", Group: "process",
+		Belief: 0.61, Plausibility: 0.9, Unknown: 0.29, Reports: 4, Reliability: 0.95, Degraded: true,
+		Prognostics: PrognosticVector{{Probability: 0.2, HorizonSeconds: 3600}, {Probability: 0.7, HorizonSeconds: 86400}},
+		UpdatedAt:   time.Date(1998, 8, 1, 12, 0, 0, 0, time.UTC),
+	}}))
+	f.Add(frameBytes(f, envelope{Kind: "heartbeat", Heartbeat: validHeartbeat()}))
 	// Torn header, torn body, and a length prefix past the frame limit.
 	f.Add([]byte{0x00, 0x00})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x05, '{', '}'})

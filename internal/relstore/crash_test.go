@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/recordlog"
 )
 
 // buildLog writes a fresh durable database with n rows and returns its path.
@@ -71,12 +73,13 @@ func TestTornFinalLineIsRecovered(t *testing.T) {
 
 func TestTornTailWithoutNewlineIsRecovered(t *testing.T) {
 	path := buildLog(t, 5)
-	// Append garbage with no trailing newline (partial record).
+	// Append a prefix of a record's frame (partial record).
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"insert","table":"mach`); err != nil {
+	frame := recordlog.AppendFrame(nil, recMagic, kindOp, 0, []byte(`{"op":"insert","table":"machines"}`))
+	if _, err := f.Write(frame[:len(frame)-5]); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -99,14 +102,56 @@ func TestInteriorCorruptionIsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a line in the middle: this is not a torn tail and must be
-	// surfaced, not silently dropped.
-	lines := strings.Split(string(data), "\n")
-	lines[4] = `{"op": CORRUPT`
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+	// Corrupt a record body in the middle: this is not a torn tail and must
+	// be surfaced, not silently dropped.
+	var offs []int
+	off := len(logMagic)
+	if _, err := recordlog.Scan(data, off, recMagic, func(fr recordlog.Frame) error {
+		offs = append(offs, off)
+		off += recordlog.Overhead + len(fr.Body)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data[offs[4]+recordlog.Overhead] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(path); err == nil {
 		t.Fatal("interior corruption must refuse to open")
+	}
+}
+
+// TestJSONLinesLogRefused: a log in the JSON-lines format of earlier
+// versions is refused with an error naming that format, never misread.
+func TestJSONLinesLogRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.db")
+	old := `{"op":"create_table","table":"t","schema":{"name":"t","columns":[{"name":"a","type":1}]}}` + "\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(path)
+	if err == nil || !strings.Contains(err.Error(), "JSON-lines") {
+		t.Fatalf("JSON-lines log: err = %v, want a version error", err)
+	}
+}
+
+// TestStaleCompactTempRemoved: a crash mid-Compact leaves the temp file
+// beside the log; it must not shadow the log and is gone after Open.
+func TestStaleCompactTempRemoved(t *testing.T) {
+	path := buildLog(t, 3)
+	if err := os.WriteFile(path+".tmp", []byte("garbage from a dying process"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if n, _ := db.Count("machines", nil); n != 3 {
+		t.Fatalf("recovered %d rows with a stale temp, want 3", n)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("stale temp survived Open: %v", err)
 	}
 }

@@ -5,20 +5,19 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/proto"
+	"repro/internal/recordlog"
 )
 
 // Spool file format (one file per uplink, append-only):
 //
 //	header: magic "MPROSUP2" | u64 boot | u16 dcidLen | dcid bytes
-//	records: u32 recMagic | u8 type | u64 seq | u32 bodyLen | body | u32 crc
+//	records: recordlog frames under recMagic
 //
-// All integers little-endian; the CRC covers type..body. Record types:
+// All integers little-endian. Record kinds:
 //
 //	recReport  — body is the JSON report; the sequence is its delivery id
 //	recAck     — the report with this sequence was acked by the PDME
@@ -29,10 +28,10 @@ import (
 //	             shares the report sequence space, so one spool carries both
 //	             kinds in FIFO order under one dedup window
 //
-// Every record is appended in a single write, so recovery follows the
-// historian segment idiom exactly: an incomplete final record is a torn
-// tail (truncate and continue); a complete record with a bad magic or CRC
-// is interior corruption (refuse the file).
+// Records are appended without an fsync of their own (close syncs), and
+// recovery is recordlog's: an incomplete final record is a torn tail
+// (truncate and continue); a complete record with a bad magic or CRC is
+// interior corruption (refuse the file).
 //
 // The boot id names the sequence-counter incarnation on the wire (see
 // proto.Dedup): a persistent spool keeps it for the file's lifetime, so
@@ -40,10 +39,8 @@ import (
 // spool draws a fresh one per process, telling the PDME its restarted
 // counter is not a replay.
 const (
-	spoolMagic  = "MPROSUP2"
-	recMagic    = uint32(0x5B001ED0)
-	recFrame    = 4 + 1 + 8 + 4 + 4 // magic + type + seq + len + crc
-	maxBodySize = 1 << 20
+	spoolMagic = "MPROSUP2"
+	recMagic   = uint32(0x5B001ED0)
 
 	recReport  = byte(1)
 	recAck     = byte(2)
@@ -91,9 +88,7 @@ func (rec *pendingRec) marshalBody() ([]byte, error) {
 // process dies replays on the next start. With an empty dir the spool is a
 // volatile in-memory queue with the same interface.
 type spool struct {
-	path string   // "" for in-memory
-	f    *os.File // nil for in-memory
-	dcid string   // sender identity the file header is bound to
+	log  *recordlog.Log // nil for in-memory
 	cap  int
 	boot uint64 // sequence-counter incarnation announced on the wire
 
@@ -116,21 +111,9 @@ func newBootID() (uint64, error) {
 	return id, nil
 }
 
-// encodeSpoolFile maps a DC id to a filesystem-safe spool file name (same
-// escaping as the historian's channel files).
+// encodeSpoolFile maps a DC id to a filesystem-safe spool file name.
 func encodeSpoolFile(dcid string) string {
-	var b strings.Builder
-	for i := 0; i < len(dcid); i++ {
-		c := dcid[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-			b.WriteByte(c)
-		default:
-			fmt.Fprintf(&b, "%%%02X", c)
-		}
-	}
-	return b.String() + ".spool"
+	return recordlog.FileName(dcid, ".spool")
 }
 
 // openSpool opens (recovering) or creates the spool for dcid under dir.
@@ -139,164 +122,101 @@ func openSpool(dir, dcid string, capacity int) (*spool, error) {
 	if capacity <= 0 {
 		capacity = DefaultSpoolCap
 	}
-	s := &spool{dcid: dcid, cap: capacity, nextSeq: 1}
+	s := &spool{cap: capacity, nextSeq: 1}
+	// A fresh file gets a fresh boot id; a recovered one keeps its own.
+	boot, err := newBootID()
+	if err != nil {
+		return nil, err
+	}
+	s.boot = boot
 	if dir == "" {
-		boot, err := newBootID()
-		if err != nil {
-			return nil, err
-		}
-		s.boot = boot
 		return s, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("uplink: create spool dir: %w", err)
 	}
-	s.path = filepath.Join(dir, encodeSpoolFile(dcid))
-	if err := s.recover(dcid); err != nil {
+	if err := s.recover(filepath.Join(dir, encodeSpoolFile(dcid)), dcid); err != nil {
 		return nil, err
-	}
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("uplink: open spool: %w", err)
-	}
-	s.f = f
-	if info, err := f.Stat(); err == nil && info.Size() == 0 {
-		if s.boot, err = newBootID(); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		if err := s.writeHeader(dcid); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
 	}
 	// Start compacted: resolved records recovered from a previous run carry
 	// no information once pending is rebuilt.
 	if s.resolved > 0 {
-		if err := s.compact(dcid); err != nil {
-			_ = s.f.Close()
+		if err := s.compact(); err != nil {
+			_ = s.log.Close() // best effort: the compaction error is the story
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-func (s *spool) writeHeader(dcid string) error {
+// recover opens the spool file at path, reading back pending reports, the
+// sequence watermark, and the resolved-record count. A torn tail is
+// truncated; a header or interior record that is present but wrong is
+// refused.
+func (s *spool) recover(path, dcid string) error {
 	hdr := make([]byte, 0, len(spoolMagic)+8+2+len(dcid))
 	hdr = append(hdr, spoolMagic...)
 	hdr = binary.LittleEndian.AppendUint64(hdr, s.boot)
 	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(dcid)))
 	hdr = append(hdr, dcid...)
-	if _, err := s.f.Write(hdr); err != nil {
-		return fmt.Errorf("uplink: write spool header: %w", err)
-	}
-	return nil
-}
-
-// recover reads the spool file back: pending reports, the sequence
-// watermark, and the resolved-record count. A torn tail is truncated; a
-// header or interior record that is present but wrong is refused.
-func (s *spool) recover(dcid string) error {
-	data, err := os.ReadFile(s.path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("uplink: read spool: %w", err)
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	if len(data) < len(spoolMagic)+8+2 {
-		return fmt.Errorf("uplink: %s: truncated header", s.path)
-	}
-	if string(data[:len(spoolMagic)]) != spoolMagic {
-		return fmt.Errorf("uplink: %s: bad file magic", s.path)
-	}
-	s.boot = binary.LittleEndian.Uint64(data[len(spoolMagic):])
-	idLen := int(binary.LittleEndian.Uint16(data[len(spoolMagic)+8:]))
-	off := len(spoolMagic) + 8 + 2
-	if len(data) < off+idLen {
-		return fmt.Errorf("uplink: %s: truncated DC id", s.path)
-	}
-	if got := string(data[off : off+idLen]); got != dcid {
-		return fmt.Errorf("uplink: %s: spool belongs to DC %q, not %q", s.path, got, dcid)
-	}
-	off += idLen
 
 	frames := make(map[uint64]*pendingRec)
 	var order []uint64
 	resolved := make(map[uint64]bool)
 	var maxSeq uint64
-	tornAt := -1
-	for off < len(data) {
-		remaining := len(data) - off
-		if remaining < recFrame-4 { // not even the fixed fields before the body
-			tornAt = off
-			break
-		}
-		magic := binary.LittleEndian.Uint32(data[off:])
-		if magic != recMagic {
-			return fmt.Errorf("uplink: %s: bad record magic at offset %d (corrupted spool)", s.path, off)
-		}
-		typ := data[off+4]
-		seq := binary.LittleEndian.Uint64(data[off+5:])
-		if seq == ^uint64(0) {
-			// A legitimate writer can never reach the last sequence; accepting
-			// it would overflow the nextSeq watermark back to zero.
-			return fmt.Errorf("uplink: %s: implausible sequence at offset %d (corrupted spool)", s.path, off)
-		}
-		bodyLen := int(binary.LittleEndian.Uint32(data[off+13:]))
-		if bodyLen < 0 || bodyLen > maxBodySize {
-			return fmt.Errorf("uplink: %s: implausible record body %d at offset %d (corrupted spool)", s.path, bodyLen, off)
-		}
-		need := recFrame + bodyLen
-		if remaining < need {
-			// The final record never finished its single-write append.
-			tornAt = off
-			break
-		}
-		payload := data[off+4 : off+17+bodyLen]
-		wantCRC := binary.LittleEndian.Uint32(data[off+17+bodyLen:])
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return fmt.Errorf("uplink: %s: record CRC mismatch at offset %d (corrupted spool)", s.path, off)
-		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		switch typ {
-		case recReport:
-			var r proto.Report
-			if err := json.Unmarshal(data[off+17:off+17+bodyLen], &r); err != nil {
-				return fmt.Errorf("uplink: %s: undecodable report at offset %d: %w", s.path, off, err)
+	log, _, err := recordlog.Open(path, recMagic, hdr,
+		func(data []byte) (int, error) {
+			if len(data) < len(spoolMagic)+8+2 {
+				return 0, fmt.Errorf("%s: truncated header", path)
 			}
-			if _, dup := frames[seq]; !dup {
-				frames[seq] = &pendingRec{seq: seq, report: &r, recovered: true}
-				order = append(order, seq)
+			if string(data[:len(spoolMagic)]) != spoolMagic {
+				return 0, fmt.Errorf("%s: bad file magic", path)
 			}
-		case recSummary:
-			var sum proto.FusedSummary
-			if err := json.Unmarshal(data[off+17:off+17+bodyLen], &sum); err != nil {
-				return fmt.Errorf("uplink: %s: undecodable summary at offset %d: %w", s.path, off, err)
+			s.boot = binary.LittleEndian.Uint64(data[len(spoolMagic):])
+			idLen := int(binary.LittleEndian.Uint16(data[len(spoolMagic)+8:]))
+			off := len(spoolMagic) + 8 + 2
+			if len(data) < off+idLen {
+				return 0, fmt.Errorf("%s: truncated DC id", path)
 			}
-			if _, dup := frames[seq]; !dup {
-				frames[seq] = &pendingRec{seq: seq, summary: &sum, recovered: true}
-				order = append(order, seq)
+			if got := string(data[off : off+idLen]); got != dcid {
+				return 0, fmt.Errorf("%s: spool belongs to DC %q, not %q", path, got, dcid)
 			}
-		case recAck, recDrop:
-			resolved[seq] = true
-		case recSeqMark:
-			// watermark only: maxSeq already advanced above
-		default:
-			return fmt.Errorf("uplink: %s: unknown record type %d at offset %d (corrupted spool)", s.path, typ, off)
-		}
-		off += need
+			return off + idLen, nil
+		},
+		func(fr recordlog.Frame) error {
+			if fr.Seq > maxSeq {
+				maxSeq = fr.Seq
+			}
+			rec := &pendingRec{seq: fr.Seq, recovered: true}
+			switch fr.Kind {
+			case recReport:
+				rec.report = new(proto.Report)
+				if err := json.Unmarshal(fr.Body, rec.report); err != nil {
+					return fmt.Errorf("undecodable report: %w", err)
+				}
+			case recSummary:
+				rec.summary = new(proto.FusedSummary)
+				if err := json.Unmarshal(fr.Body, rec.summary); err != nil {
+					return fmt.Errorf("undecodable summary: %w", err)
+				}
+			case recAck, recDrop:
+				resolved[fr.Seq] = true
+				return nil
+			case recSeqMark:
+				return nil // watermark only: maxSeq already advanced above
+			default:
+				return fmt.Errorf("unknown record type %d (corrupted spool)", fr.Kind)
+			}
+			if _, dup := frames[fr.Seq]; !dup {
+				frames[fr.Seq] = rec
+				order = append(order, fr.Seq)
+			}
+			return nil
+		})
+	if err != nil {
+		return fmt.Errorf("uplink: spool: %w", err)
 	}
-	if tornAt >= 0 {
-		if err := truncateFile(s.path, int64(tornAt)); err != nil {
-			return err
-		}
-	}
+	s.log = log
 	for _, seq := range order {
 		if resolved[seq] {
 			s.resolved++
@@ -308,36 +228,13 @@ func (s *spool) recover(dcid string) error {
 	return nil
 }
 
-func truncateFile(path string, size int64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("uplink: open spool for truncation: %w", err)
-	}
-	defer f.Close()
-	if err := f.Truncate(size); err != nil {
-		return fmt.Errorf("uplink: truncate torn spool tail: %w", err)
-	}
-	return f.Sync()
-}
-
 // appendRecord writes one framed record in a single write.
 func (s *spool) appendRecord(typ byte, seq uint64, body []byte) error {
-	if s.f == nil {
+	if s.log == nil {
 		return nil
 	}
-	if len(body) > maxBodySize {
-		return fmt.Errorf("uplink: spool record body %d exceeds limit", len(body))
-	}
-	buf := make([]byte, 0, recFrame+len(body))
-	buf = binary.LittleEndian.AppendUint32(buf, recMagic)
-	buf = append(buf, typ)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
-	crc := crc32.ChecksumIEEE(buf[4:])
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	if _, err := s.f.Write(buf); err != nil {
-		return fmt.Errorf("uplink: append spool record: %w", err)
+	if err := s.log.Append(typ, seq, body); err != nil {
+		return fmt.Errorf("uplink: spool: %w", err)
 	}
 	return nil
 }
@@ -406,61 +303,35 @@ func (s *spool) resolve(seq uint64) error {
 }
 
 func (s *spool) maybeCompact() error {
-	if s.f == nil || s.resolved < compactEvery {
+	if s.log == nil || s.resolved < compactEvery {
 		return nil
 	}
-	return s.compact(s.dcid)
+	return s.compact()
 }
 
 // compact rewrites the file with only pending reports plus a sequence
-// watermark, via temp-file-and-rename so a crash mid-compaction leaves
-// either the old or the new file intact.
-func (s *spool) compact(dcid string) error {
-	if s.f == nil {
+// watermark; the rewrite is atomic, so a crash mid-compaction leaves either
+// the old or the new file intact.
+func (s *spool) compact() error {
+	err := s.log.Rewrite(func(emit func(kind byte, seq uint64, body []byte) error) error {
+		if s.nextSeq > 1 {
+			if err := emit(recSeqMark, s.nextSeq-1, nil); err != nil {
+				return err
+			}
+		}
+		for _, rec := range s.pending {
+			body, err := rec.marshalBody()
+			if err != nil {
+				return err
+			}
+			if err := emit(rec.recType(), rec.seq, body); err != nil {
+				return err
+			}
+		}
 		return nil
-	}
-	tmp := s.path + ".tmp"
-	old := s.f
-	s.f = nil // appendRecord must not touch the old handle during rewrite
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	})
 	if err != nil {
-		s.f = old
-		return fmt.Errorf("uplink: create compaction file: %w", err)
-	}
-	s.f = f
-	err = s.writeHeader(dcid)
-	if err == nil && s.nextSeq > 1 {
-		err = s.appendRecord(recSeqMark, s.nextSeq-1, nil)
-	}
-	for _, rec := range s.pending {
-		if err != nil {
-			break
-		}
-		var body []byte
-		if body, err = rec.marshalBody(); err == nil {
-			err = s.appendRecord(rec.recType(), rec.seq, body)
-		}
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		s.f = old
-		return err
-	}
-	if err := f.Close(); err != nil {
-		s.f = old
-		return err
-	}
-	_ = old.Close()
-	if err := os.Rename(tmp, s.path); err != nil {
-		return fmt.Errorf("uplink: swap compacted spool: %w", err)
-	}
-	s.f, err = os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("uplink: reopen compacted spool: %w", err)
+		return fmt.Errorf("uplink: compact spool: %w", err)
 	}
 	s.resolved = 0
 	return nil
@@ -469,12 +340,12 @@ func (s *spool) compact(dcid string) error {
 // close syncs and closes the spool file; pending reports stay on disk for
 // the next open.
 func (s *spool) close() error {
-	if s.f == nil {
+	if s.log == nil {
 		return nil
 	}
-	if err := s.f.Sync(); err != nil {
-		_ = s.f.Close()
-		return err
+	if err := s.log.Sync(); err != nil {
+		_ = s.log.Close() // best effort: the sync error is the story
+		return fmt.Errorf("uplink: spool: %w", err)
 	}
-	return s.f.Close()
+	return s.log.Close()
 }

@@ -1,6 +1,7 @@
 package uplink
 
 import (
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -254,5 +255,66 @@ func TestSpoolCompactionShrinksFile(t *testing.T) {
 	}
 	if s.nextSeq != uint64(compactEvery+11) {
 		t.Errorf("nextSeq %d after compaction, want %d", s.nextSeq, compactEvery+11)
+	}
+}
+
+// TestSpoolRecordBytesUnchanged pins the on-disk record format: spool
+// records are framed exactly as spools written before the recordlog
+// extraction framed them (golden bytes for a report and its ack).
+func TestSpoolRecordBytesUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	s, err := openSpool(dir, "dc-g", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.appendRecord(recReport, 3, []byte(`{"x":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.appendRecord(recAck, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, encodeSpoolFile("dc-g")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := len(spoolMagic) + 8 + 2 + len("dc-g")
+	golden := "d01e005b010300000000000000070000007b2278223a317dc3b55846" +
+		"d01e005b020300000000000000000000003921b618"
+	if got := hex.EncodeToString(data[hdr:]); got != golden {
+		t.Fatalf("records = %s, want %s", got, golden)
+	}
+}
+
+// TestSpoolStaleTempRemoved: a crash mid-compaction leaves the temp file
+// behind; it must not shadow the spool and is gone after open.
+func TestSpoolStaleTempRemoved(t *testing.T) {
+	dir := t.TempDir()
+	s, err := openSpool(dir, "dc-1", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.add(testReport(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.close(); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, encodeSpoolFile("dc-1")+".tmp")
+	if err := os.WriteFile(tmp, []byte("garbage from a dying process"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := openSpool(dir, "dc-1", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.close()
+	if len(s2.pending) != 1 {
+		t.Fatalf("recovered %d pending with a stale temp, want 1", len(s2.pending))
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("stale temp survived open: %v", err)
 	}
 }
